@@ -20,7 +20,6 @@ package agg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -251,33 +250,6 @@ func (ag *Graph) TotalEdgeWeight() int64 {
 		sum += w
 	}
 	return sum
-}
-
-// SortedNodes returns the aggregate node tuples ordered by decoded label,
-// for deterministic presentation.
-func (ag *Graph) SortedNodes() []Tuple {
-	out := make([]Tuple, 0, len(ag.Nodes))
-	for tu := range ag.Nodes {
-		out = append(out, tu)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return ag.Schema.Label(out[i]) < ag.Schema.Label(out[j])
-	})
-	return out
-}
-
-// SortedEdges returns the aggregate edge keys ordered by decoded labels.
-func (ag *Graph) SortedEdges() []EdgeKey {
-	out := make([]EdgeKey, 0, len(ag.Edges))
-	for k := range ag.Edges {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		li := ag.Schema.Label(out[i].From) + "→" + ag.Schema.Label(out[i].To)
-		lj := ag.Schema.Label(out[j].From) + "→" + ag.Schema.Label(out[j].To)
-		return li < lj
-	})
-	return out
 }
 
 // String renders the aggregate graph for debugging and examples.

@@ -3,7 +3,6 @@ package agg
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -141,9 +140,7 @@ func (mg *MeasureGraph) SortedNodes() []Tuple {
 	for tu := range mg.Nodes {
 		out = append(out, tu)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return mg.Schema.Label(out[i]) < mg.Schema.Label(out[j])
-	})
+	SortByLabel(out, mg.Schema.Label)
 	return out
 }
 

@@ -17,7 +17,6 @@ package evolution
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/agg"
@@ -257,23 +256,17 @@ func (a *Agg) SortedNodes() []agg.Tuple {
 	for tu := range a.Nodes {
 		out = append(out, tu)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return a.Schema.Label(out[i]) < a.Schema.Label(out[j])
-	})
+	agg.SortByLabel(out, a.Schema.Label)
 	return out
 }
 
-// SortedEdges returns edge keys ordered by decoded labels.
+// SortedEdges returns edge keys ordered by agg.EdgeLabel.
 func (a *Agg) SortedEdges() []agg.EdgeKey {
 	out := make([]agg.EdgeKey, 0, len(a.Edges))
 	for k := range a.Edges {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		li := a.Schema.Label(out[i].From) + "→" + a.Schema.Label(out[i].To)
-		lj := a.Schema.Label(out[j].From) + "→" + a.Schema.Label(out[j].To)
-		return li < lj
-	})
+	a.Schema.SortEdges(out)
 	return out
 }
 

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -199,15 +198,14 @@ func (o *partialAggOp) runAll(ctx context.Context, out *Result) error {
 		Kind:       kindString(agg.All),
 		Source:     tmp.AggSource.String(),
 	}
-	for _, tu := range ag.SortedNodes() {
-		pr.Nodes = append(pr.Nodes, PartialGroup{Values: ag.Schema.Decode(tu), Weight: ag.Nodes[tu]})
+	rows := ag.Rows()
+	for i := 0; i < rows.NumNodes(); i++ {
+		values, w := rows.Node(i)
+		pr.Nodes = append(pr.Nodes, PartialGroup{Values: values, Weight: w})
 	}
-	for _, k := range ag.SortedEdges() {
-		pr.Edges = append(pr.Edges, PartialEdge{
-			From:   ag.Schema.Decode(k.From),
-			To:     ag.Schema.Decode(k.To),
-			Weight: ag.Edges[k],
-		})
+	for i := 0; i < rows.NumEdges(); i++ {
+		from, to, w := rows.Edge(i)
+		pr.Edges = append(pr.Edges, PartialEdge{From: from, To: to, Weight: w})
 	}
 	out.Partial, out.AggSource = pr, tmp.AggSource
 	return nil
@@ -289,7 +287,7 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 	for tu := range nodeSets {
 		nodeKeys = append(nodeKeys, tu)
 	}
-	sort.Slice(nodeKeys, func(i, j int) bool { return s.Label(nodeKeys[i]) < s.Label(nodeKeys[j]) })
+	agg.SortByLabel(nodeKeys, s.Label)
 	for _, tu := range nodeKeys {
 		set := nodeSets[tu]
 		ents := make([]string, 0, len(set))
@@ -303,11 +301,7 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 	for k := range edgeSets {
 		edgeKeys = append(edgeKeys, k)
 	}
-	sort.Slice(edgeKeys, func(i, j int) bool {
-		li := s.Label(edgeKeys[i].From) + "→" + s.Label(edgeKeys[i].To)
-		lj := s.Label(edgeKeys[j].From) + "→" + s.Label(edgeKeys[j].To)
-		return li < lj
-	})
+	s.SortEdges(edgeKeys)
 	for _, k := range edgeKeys {
 		set := edgeSets[k]
 		pairs := make([]labelPair, 0, len(set))
@@ -338,9 +332,9 @@ func (o *partialAggOp) runDist(ctx context.Context, out *Result) error {
 // ---- merge (router side) ----------------------------------------------
 
 // MergedGraph is the exact merge of per-shard partial aggregates in
-// decoded-label space. Its MarshalJSON renders the same shape as
-// agg.Graph's — attributes/kind/nodes/edges with label-sorted groups — so
-// a scatter-gathered answer is byte-identical to the single-node one.
+// decoded-label space, with rows in agg.Graph's label order. It encodes
+// through agg.AppendGraphJSON, the writer agg.Graph uses, so a
+// scatter-gathered answer is byte-identical to the single-node one.
 type MergedGraph struct {
 	Attributes []string
 	Kind       string
@@ -429,11 +423,9 @@ func MergePartials(parts []*PartialResult) (*MergedGraph, error) {
 		}
 		nodeAccs = append(nodeAccs, acc)
 	}
-	// Sort exactly like agg.Graph.SortedNodes/SortedEdges: by the decoded
-	// label joined with commas.
-	sort.Slice(nodeAccs, func(i, j int) bool {
-		return strings.Join(nodeAccs[i].values, ",") < strings.Join(nodeAccs[j].values, ",")
-	})
+	// Sort exactly like agg.Graph's rows: nodes by label, edges by
+	// agg.EdgeLabel.
+	agg.SortByLabel(nodeAccs, func(acc *mergedNodeAcc) string { return strings.Join(acc.values, ",") })
 	for _, acc := range nodeAccs {
 		m.Nodes = append(m.Nodes, PartialGroup{Values: acc.values, Weight: acc.weight})
 	}
@@ -444,10 +436,8 @@ func MergePartials(parts []*PartialResult) (*MergedGraph, error) {
 		}
 		edgeAccs = append(edgeAccs, acc)
 	}
-	sort.Slice(edgeAccs, func(i, j int) bool {
-		li := strings.Join(edgeAccs[i].from, ",") + "→" + strings.Join(edgeAccs[i].to, ",")
-		lj := strings.Join(edgeAccs[j].from, ",") + "→" + strings.Join(edgeAccs[j].to, ",")
-		return li < lj
+	agg.SortByLabel(edgeAccs, func(acc *mergedEdgeAcc) string {
+		return agg.EdgeLabel(strings.Join(acc.from, ","), strings.Join(acc.to, ","))
 	})
 	for _, acc := range edgeAccs {
 		m.Edges = append(m.Edges, PartialEdge{From: acc.from, To: acc.to, Weight: acc.weight})
@@ -455,31 +445,27 @@ func MergePartials(parts []*PartialResult) (*MergedGraph, error) {
 	return m, nil
 }
 
-// MarshalJSON renders the merged graph exactly like agg.Graph.MarshalJSON
-// renders the single-node result (field order, null for empty sections).
+// EncodeJSON appends the merged graph's wire form to b, through the same
+// writer and flush hook as agg.Graph.EncodeJSON.
+func (m *MergedGraph) EncodeJSON(b []byte, flush func([]byte) []byte) []byte {
+	return agg.AppendGraphJSON(b, m.Attributes, m.Kind, m, flush)
+}
+
+// NumNodes, Node, NumEdges and Edge implement agg.RowSource.
+func (m *MergedGraph) NumNodes() int { return len(m.Nodes) }
+
+func (m *MergedGraph) Node(i int) ([]string, int64) { return m.Nodes[i].Values, m.Nodes[i].Weight }
+
+func (m *MergedGraph) NumEdges() int { return len(m.Edges) }
+
+func (m *MergedGraph) Edge(i int) (from, to []string, weight int64) {
+	e := m.Edges[i]
+	return e.From, e.To, e.Weight
+}
+
+// MarshalJSON implements json.Marshaler with EncodeJSON.
 func (m *MergedGraph) MarshalJSON() ([]byte, error) {
-	type jn struct {
-		Values []string `json:"values"`
-		Weight int64    `json:"weight"`
-	}
-	type je struct {
-		From   []string `json:"from"`
-		To     []string `json:"to"`
-		Weight int64    `json:"weight"`
-	}
-	out := struct {
-		Attributes []string `json:"attributes"`
-		Kind       string   `json:"kind"`
-		Nodes      []jn     `json:"nodes"`
-		Edges      []je     `json:"edges"`
-	}{Attributes: m.Attributes, Kind: m.Kind}
-	for _, g := range m.Nodes {
-		out.Nodes = append(out.Nodes, jn{Values: g.Values, Weight: g.Weight})
-	}
-	for _, g := range m.Edges {
-		out.Edges = append(out.Edges, je{From: g.From, To: g.To, Weight: g.Weight})
-	}
-	return json.Marshal(out)
+	return m.EncodeJSON(nil, nil), nil
 }
 
 // ---- scatter / gather operators ---------------------------------------

@@ -1,6 +1,7 @@
 package plan_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,7 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/plan"
+	"repro/internal/timeline"
 )
 
 // localScatterer executes shard slices as Partial plans against a local
@@ -358,5 +361,78 @@ func TestScatterShardFailure(t *testing.T) {
 	_, err = sp.Execute(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "shard b:") || !strings.Contains(err.Error(), "injected fetch failure") {
 		t.Fatalf("Execute error = %v, want shard b fetch failure", err)
+	}
+}
+
+// TestMergedGraphBytesMatchAggGraph: on DBLP, the merged graph of a
+// two-shard union encodes to exactly agg.Graph's bytes for the same
+// query, for DIST and ALL over the three schemas. Both write through
+// agg.AppendGraphJSON; this pins that their rows (order, values, weights)
+// agree, including publications labels that are byte prefixes of others.
+func TestMergedGraphBytesMatchAggGraph(t *testing.T) {
+	g := dataset.DBLPScaled(1, 0.2)
+	tl := g.Timeline()
+	l := func(i int) string { return tl.Label(timeline.Time(i)) }
+	first, mid, last := l(0), l(tl.Len()/2), l(tl.Len()-1)
+	beforeMid := l(tl.Len()/2 - 1)
+	for _, attrs := range [][]string{{"gender"}, {"publications"}, {"gender", "publications"}} {
+		for _, kind := range []string{"dist", "all"} {
+			q := plan.ScatterQuery{
+				Op: plan.OpUnion, Attrs: attrs, Kind: kind,
+				Slices: []plan.ShardSlice{
+					{Shard: "a", Op: plan.OpUnion, AFrom: first, ATo: beforeMid, BFrom: first, BTo: beforeMid},
+					{Shard: "b", Op: plan.OpUnion, AFrom: mid, ATo: mid, BFrom: mid, BTo: last},
+				},
+			}
+			sp, err := plan.CompileScatter(q, localScatterer{g: g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sp.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			single, err := plan.Compile(plan.Env{Graph: g, Workers: 1}, &plan.Aggregate{
+				Op: plan.TemporalOp{
+					Op: plan.OpUnion,
+					A:  plan.IntervalRef{From: first, To: mid},
+					B:  plan.IntervalRef{From: mid, To: last},
+				},
+				Attrs: attrs,
+				Kind:  kind,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sres, err := single.Execute(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := res.Merged.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sres.Agg.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v %s: merged graph bytes differ from agg.Graph\n got %s\nwant %s", attrs, kind, got, want)
+			}
+			if len(res.Merged.Edges) == 0 {
+				t.Fatalf("%v %s: empty merge proves nothing", attrs, kind)
+			}
+		}
+	}
+	empty, err := plan.MergePartials([]*plan.PartialResult{{Attributes: []string{"gender"}, Kind: "ALL"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := empty.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"attributes":["gender"],"kind":"ALL","nodes":null,"edges":null}`; string(got) != want {
+		t.Fatalf("empty merge = %s, want %s", got, want)
 	}
 }

@@ -98,10 +98,14 @@ type AggregateRequest struct {
 }
 
 // AggregateResponse carries the aggregate graph and how it was derived.
+// It documents the wire shape for clients; the server writes it with
+// WriteAggregate.
 type AggregateResponse struct {
 	// Source is the materialization catalog's derivation (scratch, cached,
 	// t-distributive, d-distributive).
-	Source    string          `json:"source"`
+	Source string `json:"source"`
+	// ElapsedMs covers compiling and executing the query, not encoding
+	// the response.
 	ElapsedMs float64         `json:"elapsed_ms"`
 	Graph     json.RawMessage `json:"graph"`
 }
@@ -130,15 +134,7 @@ func (s *Server) handleAggregate(ctx context.Context, w http.ResponseWriter, r *
 	if err != nil {
 		return execStatus(err), err
 	}
-	raw, err := json.Marshal(res.Agg)
-	if err != nil {
-		return http.StatusInternalServerError, err
-	}
-	return writeJSON(w, AggregateResponse{
-		Source:    res.AggSource.String(),
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-		Graph:     raw,
-	})
+	return WriteAggregate(w, res.AggSource.String(), float64(time.Since(start).Microseconds())/1000, res.Agg)
 }
 
 // ExploreRequest asks for minimal/maximal interval pairs with at least K
@@ -240,7 +236,8 @@ type TGQLRequest struct {
 }
 
 // TGQLResponse carries the rendered result plus structured payloads when
-// the statement produced them.
+// the statement produced them. An aggregate-graph result is written with
+// writeTGQLGraph in this shape.
 type TGQLResponse struct {
 	Text  string          `json:"text"`
 	Graph json.RawMessage `json:"graph,omitempty"`
@@ -267,14 +264,10 @@ func (s *Server) handleTGQL(ctx context.Context, w http.ResponseWriter, r *http.
 	if err != nil {
 		return execStatus(err), err
 	}
-	resp := TGQLResponse{Text: res.String()}
 	if res.Agg != nil {
-		raw, mErr := json.Marshal(res.Agg)
-		if mErr != nil {
-			return http.StatusInternalServerError, mErr
-		}
-		resp.Graph = raw
+		return writeTGQLGraph(w, res.String(), res.Agg)
 	}
+	resp := TGQLResponse{Text: res.String()}
 	if res.Pairs != nil {
 		resp.K = res.K
 		resp.Pairs = make([]ExplorePair, len(res.Pairs))

@@ -29,6 +29,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/jsonenc"
 	"repro/internal/lru"
 	"repro/internal/materialize"
 	"repro/internal/metrics"
@@ -815,6 +816,64 @@ func writeError(w http.ResponseWriter, status int, err error) { WriteError(w, st
 func writeJSON(w http.ResponseWriter, v any) (int, error) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
+		return http.StatusInternalServerError, nil // headers already sent
+	}
+	return http.StatusOK, nil
+}
+
+// graphEncoder is an aggregate graph that encodes itself by appending,
+// with agg.AppendGraphJSON's flush hook: agg.Graph, or the router's
+// plan.MergedGraph.
+type graphEncoder interface {
+	EncodeJSON(b []byte, flush func([]byte) []byte) []byte
+}
+
+// graphChunk is the size of the buffer a graph response is encoded in:
+// whenever it is half full its bytes go to the connection. Holding the
+// whole response in one buffer instead (64 bytes a row) raised gtladder's
+// heap_live_mb on hot-agg by 12.7% over the reflection encoder, against
+// 5.7% chunked (paired 30 s runs on a 2-vCPU host).
+const graphChunk = 512
+
+// WriteAggregate writes the AggregateResponse for graph g. Envelope and
+// graph are encoded in one pass, and the bytes equal what writeJSON
+// writes for AggregateResponse{source, elapsedMs, g's JSON}, trailing
+// newline included, without re-compacting the graph. Exported for the
+// cluster router's scatter answers.
+func WriteAggregate(w http.ResponseWriter, source string, elapsedMs float64, g graphEncoder) (int, error) {
+	b := jsonenc.String(append(make([]byte, 0, graphChunk), `{"source":`...), source)
+	b = append(b, `,"elapsed_ms":`...)
+	return writeGraph(w, jsonenc.Float(b, elapsedMs), g)
+}
+
+// writeTGQLGraph writes the TGQLResponse of a statement whose result is
+// an aggregate graph (so it carries no pairs and no k) the way
+// WriteAggregate writes an AggregateResponse.
+func writeTGQLGraph(w http.ResponseWriter, text string, g graphEncoder) (int, error) {
+	b := append(make([]byte, 0, graphChunk), `{"text":`...)
+	return writeGraph(w, jsonenc.String(b, text), g)
+}
+
+// writeGraph completes an envelope whose leading fields are in b with
+// the graph as its last field, writing it out in pieces of at least
+// graphChunk/2 bytes.
+func writeGraph(w http.ResponseWriter, b []byte, g graphEncoder) (int, error) {
+	w.Header().Set("Content-Type", "application/json")
+	var err error
+	flush := func(b []byte) []byte {
+		if len(b) < graphChunk/2 {
+			return b
+		}
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		return b[:0]
+	}
+	b = g.EncodeJSON(append(b, `,"graph":`...), flush)
+	if err == nil {
+		_, err = w.Write(append(b, "}\n"...))
+	}
+	if err != nil {
 		return http.StatusInternalServerError, nil // headers already sent
 	}
 	return http.StatusOK, nil
